@@ -19,6 +19,7 @@ import numpy as np
 from .berry import RampProtocol, simulate_ramp
 from .exceptions import (
     BoundaryDegeneracyError,
+    DegenerateBandError,
     DegenerateOnSurfaceError,
     DegenerateStartError,
     NoConvergenceError,
@@ -48,6 +49,7 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 _NUMERICAL_FAILURES = (
+    DegenerateBandError,
     DegenerateStartError,
     DegenerateOnSurfaceError,
     BoundaryDegeneracyError,
@@ -58,6 +60,13 @@ _NUMERICAL_FAILURES = (
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=0.0)
     p.add_argument("--j-z", type=float, default=0.0)
     p.add_argument("--j-02", type=float, default=0.0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=_usable_cpus())
     p.add_argument("--svg", help="also write an SVG heatmap to this path")
     add_common(p)
 
@@ -157,7 +166,14 @@ def _write_output(out: str | None, fmt: str, csv_text: str, json_text: str) -> N
     Path(out).write_text(csv_text if fmt == "csv" else json_text)
 
 
-def _run_ramp(cfg: dict, coupled_system: bool) -> int:
+def _ramp_protocol(cfg: dict, parser_error) -> RampProtocol:
+    try:
+        return RampProtocol(t_ramp=cfg["t_ramp"], n_samples=cfg["samples"])
+    except ValueError as exc:
+        parser_error(str(exc))
+
+
+def _run_ramp(cfg: dict, parser_error, coupled_system: bool) -> int:
     hr = cfg["hr"] * MHZ_TO_RAD_PER_US
     h0 = cfg["h0"] * MHZ_TO_RAD_PER_US
     field = FieldVector(magnitude=hr)
@@ -171,8 +187,7 @@ def _run_ramp(cfg: dict, coupled_system: bool) -> int:
         )
     else:
         params = SingleSpinParams(field=field, h0=h0)
-    protocol = RampProtocol(t_ramp=cfg["t_ramp"], n_samples=cfg["samples"])
-    trace = simulate_ramp(params, protocol)
+    trace = simulate_ramp(params, _ramp_protocol(cfg, parser_error))
     _write_output(cfg.get("out"), cfg.get("format", "csv"), trace.to_csv(), trace.to_json() + "\n")
     print(f"chern={_fmt(trace.chern)} rounded={trace.chern_rounded} residual={_fmt(trace.residual)}")
     return 0
@@ -247,7 +262,7 @@ def _run_weyl(cfg: dict, parser_error) -> int:
     return status
 
 
-def _run_phase_diagram(cfg: dict) -> int:
+def _run_phase_diagram(cfg: dict, parser_error) -> int:
     hr = cfg["hr"] * MHZ_TO_RAD_PER_US
     fixed = CoupledParams(
         field=FieldVector(magnitude=hr),
@@ -260,7 +275,7 @@ def _run_phase_diagram(cfg: dict) -> int:
     if cfg["method"] == "dynamical":
         if cfg.get("t_ramp") is None:
             raise UnknownParameterError("--t-ramp is required with --method dynamical")
-        protocol = RampProtocol(t_ramp=cfg["t_ramp"], n_samples=cfg["samples"])
+        protocol = _ramp_protocol(cfg, parser_error)
     x_grid = np.linspace(cfg["x_min"], cfg["x_max"], cfg["steps"]) * MHZ_TO_RAD_PER_US
     y_grid = np.linspace(cfg["y_min"], cfg["y_max"], cfg["steps"]) * MHZ_TO_RAD_PER_US
     diagram = phase_diagram(
@@ -300,13 +315,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "single-ramp":
             _require(cfg, parser.error, "h0", "hr", "t_ramp")
-            return _run_ramp(cfg, coupled_system=False)
+            return _run_ramp(cfg, parser.error, coupled_system=False)
         if args.command == "coupled-ramp":
             _require(cfg, parser.error, "h0", "hr", "t_ramp")
-            return _run_ramp(cfg, coupled_system=True)
+            return _run_ramp(cfg, parser.error, coupled_system=True)
         if args.command == "phase-diagram":
             _require(cfg, parser.error, "x", "y", "x_max", "y_max", "hr")
-            return _run_phase_diagram(cfg)
+            return _run_phase_diagram(cfg, parser.error)
         if args.command == "weyl":
             _require(cfg, parser.error, "h0", "hr")
             return _run_weyl(cfg, parser.error)

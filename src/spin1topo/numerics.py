@@ -7,9 +7,12 @@ convention used by the Hamiltonian builders.
 
 from __future__ import annotations
 
+import ctypes
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import (
     LengthMismatchError,
@@ -19,7 +22,18 @@ from .exceptions import (
     StepTooLargeError,
 )
 
+logger = logging.getLogger(__name__)
+
 HERMITICITY_RTOL = 1e-12
+
+# Thread-count setters of the OpenBLAS builds numpy ships with: the
+# scipy-openblas wheels (64- and 32-bit integer) and a plain OpenBLAS.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
 @dataclass(frozen=True)
@@ -100,6 +114,39 @@ def propagate_step(psi: np.ndarray, h_mid: np.ndarray, dt: float) -> np.ndarray:
             f"||H||*dt = {np.abs(energies).max() * abs(dt):.3g} exceeds the 0.1 step bound"
         )
     return states @ (np.exp(-1j * energies * dt) * (states.conj().T @ psi))
+
+
+def _blas_thread_setter():
+    """The set-num-threads entry point of the BLAS numpy loaded, or None.
+
+    The symbol is looked up through numpy's LAPACK extension, whose
+    dependencies include the BLAS library.
+    """
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            return setter
+    return None
+
+
+def single_thread_blas() -> None:
+    """Cap numpy's BLAS at one thread in this process.
+
+    Used as the initializer of phase-diagram pool workers, so that jobs
+    workers use jobs cores instead of each starting its own BLAS threads.
+    An unrecognised BLAS is left alone.
+    """
+    setter = _blas_thread_setter()
+    if setter is None:
+        logger.debug("BLAS thread control not recognised; leaving its thread count alone")
+        return
+    setter(1)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

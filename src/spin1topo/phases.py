@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berry import RampProtocol, _batch_curvature, simulate_ramp
+from .berry import RESIDUAL_WARNING, RampProtocol, _batch_curvature, simulate_ramp
 from .exceptions import (
     BoundaryDegeneracyError,
     RangeTooNarrowError,
@@ -39,7 +39,7 @@ from .hamiltonians import (
     family_for,
     parity_sector_families,
 )
-from .numerics import eigh_many
+from .numerics import eigh_many, single_thread_blas
 
 logger = logging.getLogger(__name__)
 
@@ -370,7 +370,7 @@ def _evaluate_cell(task) -> tuple[int, int, int, bool]:
     hr = params.field.magnitude
     if method == "dynamical":
         trace = simulate_ramp(params, protocol)
-        return i, j, trace.chern_rounded, trace.residual > 0.25
+        return i, j, trace.chern_rounded, trace.residual > RESIDUAL_WARNING
     points = scan_weyl_points(params)
     try:
         chern = predict_chern(params, hr, points=points)
@@ -383,6 +383,16 @@ def _evaluate_cell(task) -> tuple[int, int, int, bool]:
             boundary_guard=0.0,
         )
         return i, j, chern, True
+
+
+def _chunksize(cells: int, jobs: int) -> int:
+    """Cells per pool task: about four tasks per worker, at least one cell.
+
+    This is multiprocessing.Pool.map's default rule.  It leaves at least
+    jobs tasks whenever cells >= jobs, so every worker gets cells, and the
+    spare tasks even out cells of unequal cost.
+    """
+    return max(1, math.ceil(cells / (4 * jobs)))
 
 
 def phase_diagram(
@@ -399,8 +409,9 @@ def phase_diagram(
 
     method "analytic" counts enclosed scanned charges; "dynamical" runs the
     ramp protocol (a RampProtocol is then required).  Cells are independent
-    and are distributed over a process pool when jobs > 1; results land by
-    index so the output is deterministic either way.
+    and are spread evenly over a process pool of jobs workers when jobs > 1,
+    each worker with a single-threaded BLAS; results land by index so the
+    output is deterministic either way.
     """
     for name in (x_param, y_param):
         if name not in SWEEPABLE:
@@ -420,8 +431,8 @@ def phase_diagram(
     chern = np.zeros((x_grid.size, y_grid.size), dtype=int)
     flagged = np.zeros((x_grid.size, y_grid.size), dtype=bool)
     if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_evaluate_cell, tasks, chunksize=8))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=single_thread_blas) as pool:
+            results = list(pool.map(_evaluate_cell, tasks, chunksize=_chunksize(len(tasks), jobs)))
     else:
         results = [_evaluate_cell(t) for t in tasks]
     for i, j, value, flag in results:

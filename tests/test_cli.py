@@ -47,6 +47,13 @@ def test_missing_required_flag_exits_2(capsys):
     assert err.value.code == 2
 
 
+def test_nonpositive_ramp_time_exits_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["single-ramp", "--h0", "0", "--hr", "10", "--t-ramp", "-1"])
+    assert err.value.code == 2
+    assert "t_ramp must be positive" in capsys.readouterr().err
+
+
 def test_coupled_ramp_decoupled(capsys):
     code, out, _ = run(
         capsys, "coupled-ramp", "--h0", "0", "--hr", "10", "--g", "0", "--t-ramp", "0.5"
@@ -97,6 +104,12 @@ def test_weyl_mixed_couplings_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         main(["weyl", "--h0", "5", "--g", "10", "--j-02", "5", "--hr", "10"])
     assert err.value.code == 2
+
+
+def test_weyl_degenerate_band_exits_3(capsys):
+    code, _, err = run(capsys, "weyl", "--h0", "0", "--hr", "10", "--j-z", "5")
+    assert code == 3
+    assert err.startswith("error: ")
 
 
 def test_weyl_pair_exchange(capsys):

@@ -1,6 +1,11 @@
+import ctypes
+import logging
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.linalg import _umath_linalg
 
 from spin1topo.exceptions import (
     LengthMismatchError,
@@ -8,7 +13,14 @@ from spin1topo.exceptions import (
     NotHermitianError,
     StepTooLargeError,
 )
-from spin1topo.numerics import hermitian_eigs, kron, propagate_step, trapezoid_integrate
+from spin1topo import numerics
+from spin1topo.numerics import (
+    hermitian_eigs,
+    kron,
+    propagate_step,
+    single_thread_blas,
+    trapezoid_integrate,
+)
 from spin1topo.spin import SX, SZ
 
 from conftest import random_hermitian
@@ -184,3 +196,28 @@ class TestTrapezoid:
         coarse = abs(integrate(101) - exact)
         fine = abs(integrate(401) - exact)
         assert coarse / fine >= 12.0
+
+
+def _blas_threads(getter_name):
+    getter = getattr(ctypes.CDLL(_umath_linalg.__file__), getter_name)
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return getter()
+
+
+def test_single_thread_blas_caps_pool_worker():
+    setter = numerics._blas_thread_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS has no recognised thread-count setter")
+    getter_name = setter.__name__.replace("set_num_threads", "get_num_threads")
+    parent = _blas_threads(getter_name)
+    with ProcessPoolExecutor(max_workers=1, initializer=single_thread_blas) as pool:
+        assert pool.submit(_blas_threads, getter_name).result() == 1
+    assert _blas_threads(getter_name) == parent
+
+
+def test_single_thread_blas_leaves_unknown_blas_alone(monkeypatch, caplog):
+    monkeypatch.setattr(numerics, "_BLAS_THREAD_SETTERS", ())
+    with caplog.at_level(logging.DEBUG, logger="spin1topo.numerics"):
+        single_thread_blas()
+    assert "not recognised" in caplog.text

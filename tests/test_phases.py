@@ -11,6 +11,7 @@ from spin1topo.exceptions import (
 )
 from spin1topo.hamiltonians import CoupledParams, FieldVector, SingleSpinParams
 from spin1topo.phases import (
+    _chunksize,
     count_regions,
     phase_diagram,
     predict_chern,
@@ -195,12 +196,29 @@ class TestPhaseDiagram:
         assert "h0 / hr" in text
 
     def test_worker_pool_matches_serial(self):
-        grid = np.array([0.4, 1.2]) * HR
+        # Nine cells on two workers, so both workers evaluate cells.
+        grid = np.array([0.4, 0.8, 1.2]) * HR
         fixed = coupled_params()
         serial = phase_diagram("h0", "g", grid, grid, fixed, jobs=1)
         pooled = phase_diagram("h0", "g", grid, grid, fixed, jobs=2)
-        assert np.array_equal(serial.chern_grid, pooled.chern_grid)
-        assert np.array_equal(serial.flagged, pooled.flagged)
+        assert pooled.to_csv() == serial.to_csv()
+        assert pooled.to_json() == serial.to_json()
+
+    def test_worker_pool_matches_serial_dynamical(self):
+        h0 = np.array([0.5 * HR])
+        g = np.array([0.2, 0.6, 1.4]) * HR
+        fixed = coupled_params()
+        protocol = RampProtocol(t_ramp=0.5, n_samples=100)
+        serial = phase_diagram("h0", "g", h0, g, fixed, method="dynamical", protocol=protocol, jobs=1)
+        pooled = phase_diagram("h0", "g", h0, g, fixed, method="dynamical", protocol=protocol, jobs=2)
+        assert pooled.to_csv() == serial.to_csv()
+
+    def test_pool_dispatch_reaches_every_worker(self):
+        for jobs in range(1, 17):
+            for cells in range(jobs, 2000):
+                size = _chunksize(cells, jobs)
+                assert size >= 1
+                assert math.ceil(cells / size) >= jobs, (cells, jobs)
 
 
 def test_count_regions():
