@@ -41,6 +41,7 @@ logger = logging.getLogger(__name__)
 GAP_THRESHOLD = 1e-6
 MAX_RAMP_STEPS = 20000
 RESIDUAL_WARNING = 0.25
+CURVATURE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,27 @@ class CurvatureTrace:
 def _batch_curvature(
     family: HamiltonianFamily, rs: np.ndarray, band: int, gap_threshold: float = GAP_THRESHOLD
 ) -> np.ndarray:
-    """Sum-over-states curvature vectors at a batch of field points (n, 3)."""
+    """Sum-over-states curvature vectors at a batch of field points (n, 3).
+
+    Points are taken CURVATURE_CHUNK at a time, which bounds the memory of
+    long quadratures.  A chunk whose matrices have no imaginary part (the
+    phi = 0 meridian) is diagonalised in real arithmetic.
+    """
     rs = np.asarray(rs, dtype=float)
-    energies, states = eigh_many(family.matrices(rs))
+    chunks = [
+        _chunk_curvature(family, rs[start : start + CURVATURE_CHUNK], band, gap_threshold)
+        for start in range(0, len(rs), CURVATURE_CHUNK)
+    ]
+    return np.concatenate(chunks)
+
+
+def _chunk_curvature(
+    family: HamiltonianFamily, rs: np.ndarray, band: int, gap_threshold: float
+) -> np.ndarray:
+    hs = family.matrices(rs)
+    if not hs.imag.any():
+        hs = np.ascontiguousarray(hs.real)
+    energies, states = eigh_many(hs)
     e_band = energies[:, band]
     diffs = energies - e_band[:, None]
     diffs[:, band] = np.inf
@@ -105,7 +124,7 @@ def _batch_curvature(
         )
     # a[c][p, m] = <band| dH/dr_c |m> at point p
     bras = states[:, :, band].conj()
-    rows = [np.einsum("pi,ij,pjm->pm", bras, g, states, optimize=True) for g in family.grad]
+    rows = [((bras @ g)[:, None, :] @ states)[:, 0, :] for g in family.grad]
     inv2 = 1.0 / diffs**2
     inv2[:, band] = 0.0
 

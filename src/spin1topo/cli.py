@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -69,6 +70,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive(name: str):
+    """argparse type: a finite number above zero, named in the error message."""
+
+    def parse(text: str) -> float:
+        value = _finite(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spin1topo",
@@ -82,50 +106,49 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_fields(p: argparse.ArgumentParser, h0_default: float | None = None) -> None:
+        p.add_argument("--h0", type=_finite, default=h0_default, help="z offset field, MHz")
+        p.add_argument("--hr", type=_positive("hr"), help="ramped field magnitude, MHz")
+
+    def add_couplings(p: argparse.ArgumentParser) -> None:
+        for flag in ("--g", "--j-z", "--j-02"):
+            p.add_argument(flag, type=_finite, default=0.0, help="coupling, MHz")
+
+    def add_ramp(p: argparse.ArgumentParser, t_ramp_help: str = "ramp duration, us") -> None:
+        p.add_argument("--t-ramp", type=_positive("t_ramp"), help=t_ramp_help)
+        p.add_argument("--samples", type=int, default=1000)
+
     p = sub.add_parser("single-ramp", help="dynamical Chern number of a single qutrit")
-    p.add_argument("--h0", type=float, help="z offset field, MHz")
-    p.add_argument("--hr", type=float, help="ramped field magnitude, MHz")
-    p.add_argument("--t-ramp", type=float, help="ramp duration, us")
-    p.add_argument("--samples", type=int, default=1000)
+    add_fields(p)
+    add_ramp(p)
     add_common(p)
 
     p = sub.add_parser("coupled-ramp", help="dynamical Chern number of two coupled qutrits")
-    p.add_argument("--h0", type=float)
-    p.add_argument("--hr", type=float)
-    p.add_argument("--t-ramp", type=float)
-    p.add_argument("--g", type=float, default=0.0)
-    p.add_argument("--j-z", type=float, default=0.0)
-    p.add_argument("--j-02", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=1000)
+    add_fields(p)
+    add_couplings(p)
+    add_ramp(p)
     add_common(p)
 
     p = sub.add_parser("phase-diagram", help="Chern number over a two-parameter grid")
     p.add_argument("--x", help="x parameter: h0, g, j_z or j_02")
     p.add_argument("--y", help="y parameter: h0, g, j_z or j_02")
-    p.add_argument("--x-min", type=float, default=0.0)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--y-min", type=float, default=0.0)
-    p.add_argument("--y-max", type=float)
+    p.add_argument("--x-min", type=_finite, default=0.0)
+    p.add_argument("--x-max", type=_finite)
+    p.add_argument("--y-min", type=_finite, default=0.0)
+    p.add_argument("--y-max", type=_finite)
     p.add_argument("--steps", type=int, default=41)
     p.add_argument("--method", choices=("analytic", "dynamical"), default="analytic")
-    p.add_argument("--t-ramp", type=float, help="ramp duration for the dynamical method, us")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--hr", type=float)
-    p.add_argument("--h0", type=float, default=0.0)
-    p.add_argument("--g", type=float, default=0.0)
-    p.add_argument("--j-z", type=float, default=0.0)
-    p.add_argument("--j-02", type=float, default=0.0)
+    add_ramp(p, t_ramp_help="ramp duration for the dynamical method, us")
+    add_fields(p, h0_default=0.0)
+    add_couplings(p)
     p.add_argument("--jobs", type=int, default=_usable_cpus())
     p.add_argument("--svg", help="also write an SVG heatmap to this path")
     add_common(p)
 
     p = sub.add_parser("weyl", help="Weyl points: closed form vs on-axis scan")
     p.add_argument("--family", choices=("single", "coupled"), default="coupled")
-    p.add_argument("--h0", type=float)
-    p.add_argument("--hr", type=float)
-    p.add_argument("--g", type=float, default=0.0)
-    p.add_argument("--j-z", type=float, default=0.0)
-    p.add_argument("--j-02", type=float, default=0.0)
+    add_fields(p)
+    add_couplings(p)
     add_common(p)
 
     p = sub.add_parser("circuit-check", help="verify the outer-product to spin-form reduction")
@@ -135,17 +158,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> dict:
-    """Resolve flag values against an optional JSON config (MHz/us units)."""
-    resolved = {k: v for k, v in vars(args).items() if k not in ("config", "dump_config")}
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> dict:
+    """Resolve flags against an optional JSON config (MHz/us units).
+
+    Stored values of flags not given explicitly are parsed as if given, so
+    they go through the same type checks.
+    """
+    args = parser.parse_args(argv)
     if args.config:
         stored = json.loads(Path(args.config).read_text())
-        stored.pop("command", None)
         explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
-        for key, value in stored.items():
-            if key not in explicit and key in resolved:
-                resolved[key] = value
-    return resolved
+        known = set(vars(args)) - explicit - {"command", "config", "dump_config"}
+        from_config = [f"--{k.replace('_', '-')}={v}" for k, v in stored.items() if k in known]
+        args = parser.parse_args(argv + from_config)
+    return {k: v for k, v in vars(args).items() if k != "config"}
 
 
 def _require(cfg: dict, parser_error, *keys: str) -> None:
@@ -173,20 +199,23 @@ def _ramp_protocol(cfg: dict, parser_error) -> RampProtocol:
         parser_error(str(exc))
 
 
-def _run_ramp(cfg: dict, parser_error, coupled_system: bool) -> int:
-    hr = cfg["hr"] * MHZ_TO_RAD_PER_US
+def _params(cfg: dict, coupled_system: bool) -> CoupledParams | SingleSpinParams:
+    """Parameter record from resolved MHz values, converted once to rad/us."""
+    field = FieldVector(magnitude=cfg["hr"] * MHZ_TO_RAD_PER_US)
     h0 = cfg["h0"] * MHZ_TO_RAD_PER_US
-    field = FieldVector(magnitude=hr)
-    if coupled_system:
-        params = CoupledParams(
-            field=field,
-            h0=h0,
-            g=cfg["g"] * MHZ_TO_RAD_PER_US,
-            j_z=cfg["j_z"] * MHZ_TO_RAD_PER_US,
-            j_02=cfg["j_02"] * MHZ_TO_RAD_PER_US,
-        )
-    else:
-        params = SingleSpinParams(field=field, h0=h0)
+    if not coupled_system:
+        return SingleSpinParams(field=field, h0=h0)
+    return CoupledParams(
+        field=field,
+        h0=h0,
+        g=cfg["g"] * MHZ_TO_RAD_PER_US,
+        j_z=cfg["j_z"] * MHZ_TO_RAD_PER_US,
+        j_02=cfg["j_02"] * MHZ_TO_RAD_PER_US,
+    )
+
+
+def _run_ramp(cfg: dict, parser_error, coupled_system: bool) -> int:
+    params = _params(cfg, coupled_system)
     trace = simulate_ramp(params, _ramp_protocol(cfg, parser_error))
     _write_output(cfg.get("out"), cfg.get("format", "csv"), trace.to_csv(), trace.to_json() + "\n")
     print(f"chern={_fmt(trace.chern)} rounded={trace.chern_rounded} residual={_fmt(trace.residual)}")
@@ -228,20 +257,9 @@ def _dedupe(points: list[WeylPoint], tol: float) -> list[WeylPoint]:
 
 
 def _run_weyl(cfg: dict, parser_error) -> int:
-    hr = cfg["hr"] * MHZ_TO_RAD_PER_US
-    h0 = cfg["h0"] * MHZ_TO_RAD_PER_US
-    field = FieldVector(magnitude=hr)
+    params = _params(cfg, coupled_system=cfg["family"] == "coupled")
+    hr = params.field.magnitude
     analytic = _dedupe(_analytic_weyl(cfg, parser_error), tol=1e-9 * max(hr, 1.0))
-    if cfg["family"] == "single":
-        params = SingleSpinParams(field=field, h0=h0)
-    else:
-        params = CoupledParams(
-            field=field,
-            h0=h0,
-            g=cfg["g"] * MHZ_TO_RAD_PER_US,
-            j_z=cfg["j_z"] * MHZ_TO_RAD_PER_US,
-            j_02=cfg["j_02"] * MHZ_TO_RAD_PER_US,
-        )
     scanned = scan_weyl_points(params, keep_uncharged=True)
     scanned = _dedupe(scanned, tol=1e-6)
     status = 0
@@ -263,14 +281,12 @@ def _run_weyl(cfg: dict, parser_error) -> int:
 
 
 def _run_phase_diagram(cfg: dict, parser_error) -> int:
-    hr = cfg["hr"] * MHZ_TO_RAD_PER_US
-    fixed = CoupledParams(
-        field=FieldVector(magnitude=hr),
-        h0=cfg["h0"] * MHZ_TO_RAD_PER_US,
-        g=cfg["g"] * MHZ_TO_RAD_PER_US,
-        j_z=cfg["j_z"] * MHZ_TO_RAD_PER_US,
-        j_02=cfg["j_02"] * MHZ_TO_RAD_PER_US,
-    )
+    if cfg["x"] == cfg["y"]:
+        parser_error("--x and --y must name different parameters")
+    if cfg["steps"] < 1:
+        parser_error(f"--steps must be at least 1, got {cfg['steps']}")
+    fixed = _params(cfg, coupled_system=True)
+    hr = fixed.field.magnitude
     protocol = None
     if cfg["method"] == "dynamical":
         if cfg.get("t_ramp") is None:
@@ -308,27 +324,28 @@ def _run_circuit_check(cfg: dict) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _merge_config(args, argv)
-    if args.dump_config:
-        _dump_config(cfg, args.command, args.dump_config)
+    cfg = _parse(parser, argv)
+    command = cfg["command"]
+    dump_path = cfg.pop("dump_config")
+    if dump_path:
+        _dump_config(cfg, command, dump_path)
     try:
-        if args.command == "single-ramp":
+        if command == "single-ramp":
             _require(cfg, parser.error, "h0", "hr", "t_ramp")
             return _run_ramp(cfg, parser.error, coupled_system=False)
-        if args.command == "coupled-ramp":
+        if command == "coupled-ramp":
             _require(cfg, parser.error, "h0", "hr", "t_ramp")
             return _run_ramp(cfg, parser.error, coupled_system=True)
-        if args.command == "phase-diagram":
+        if command == "phase-diagram":
             _require(cfg, parser.error, "x", "y", "x_max", "y_max", "hr")
             return _run_phase_diagram(cfg, parser.error)
-        if args.command == "weyl":
+        if command == "weyl":
             _require(cfg, parser.error, "h0", "hr")
             return _run_weyl(cfg, parser.error)
-        if args.command == "circuit-check":
+        if command == "circuit-check":
             _require(cfg, parser.error, "params")
             return _run_circuit_check(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        parser.error(f"unknown command {command!r}")
     except UnknownParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -23,9 +23,11 @@ MHz and convert once (x 2*pi) at the parse boundary.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,6 +224,23 @@ def u1_rotate(h: np.ndarray, phi: float) -> np.ndarray:
     return (phases[:, None] * h) * phases.conj()[None, :]
 
 
+class SectorLines(NamedTuple):
+    """On-axis ground energy of each J_z sector: offsets + slopes * h_z.
+
+    labels holds each sector's m_tot, offsets its lowest eigenvalue at
+    h_z = 0 and slopes its dH/dh_z; scale is the spectral norm of base.
+    """
+
+    labels: np.ndarray
+    offsets: np.ndarray
+    slopes: np.ndarray
+    scale: float
+
+    def norm_bound(self, hz):
+        """Upper bound on the on-axis spectral norm at h_z (scalar or array)."""
+        return self.scale + np.abs(self.slopes).max() * np.abs(hz)
+
+
 @dataclass(frozen=True)
 class HamiltonianFamily:
     """A parameterised family H(r) = base + r . grad, affine in the field r.
@@ -256,6 +275,30 @@ class HamiltonianFamily:
         per_axis = 1.0 if one_site else 2.0
         base_norm = float(np.linalg.norm(self.base, 2))
         return base_norm + per_axis * hr
+
+    @functools.cached_property
+    def sector_lines(self) -> SectorLines:
+        """Ground energy of every J_z sector along the field z axis.
+
+        On the axis H = base + h_z*grad_z commutes with jz, so each sector's
+        lowest level is a straight line in h_z.  Raises ValueError unless jz
+        is diagonal, base is block-diagonal in it and grad_z is a constant
+        on each block.
+        """
+        m = np.rint(np.diag(self.jz).real)
+        labels = np.unique(m)
+        blocks = [m == label for label in labels]
+        slopes = np.array([np.diag(self.grad[2]).real[block][0] for block in blocks])
+        scale = float(np.linalg.norm(self.base, 2))
+        tol = 1e-12 * max(scale, 1.0)
+        if (
+            np.abs(self.jz - np.diag(np.diag(self.jz))).max() > tol
+            or np.abs(self.base[m[:, None] != m[None, :]]).max(initial=0.0) > tol
+            or np.abs(self.grad[2] - np.diag(slopes[np.searchsorted(labels, m)])).max() > tol
+        ):
+            raise ValueError("on-axis Hamiltonian is not block-diagonal in jz")
+        offsets = np.array([np.linalg.eigvalsh(self.base[np.ix_(b, b)])[0] for b in blocks])
+        return SectorLines(labels.astype(int), offsets, slopes, scale)
 
 
 def single_family(

@@ -2,8 +2,13 @@
 
 On the field z-axis the Hamiltonian conserves the total spin projection, so
 ground-level degeneracies are exact crossings between symmetry sectors.
-Every crossing is characterised by the flux of the ground-band curvature
-through a small enclosing sphere: crossings between adjacent sectors carry
+Each sector's lowest level is a straight line in h_z (its offset is one
+small eigvalsh, cached per family as HamiltonianFamily.sector_lines), and
+the ground label at any h_z is the lowest line; where two lines tie to
+rounding, a full eigh decides.  Every crossing is characterised by the flux
+of the ground-band curvature through a small enclosing sphere, integrated
+along the phi = 0 meridian, where the Hamiltonian is real and is
+diagonalised in real arithmetic: crossings between adjacent sectors carry
 charge 1, while crossings where the sector label jumps by two (Ising or
 pair-exchange couplings, and the uncoupled limit) are double sources of
 charge 2.  Crossings whose flux rounds to zero contribute no curvature and
@@ -47,6 +52,8 @@ SCAN_GRID_POINTS = 2000
 BISECTION_TOL = 1e-8
 CHARGE_SPHERE_FRACTION = 0.1
 BOUNDARY_GUARD_FRACTION = 1e-3
+# Sector lines closer than this (relative to the on-axis norm) are a tie.
+TIE_RTOL = 1e-11
 
 SWEEPABLE = ("h0", "g", "j_z", "j_02")
 
@@ -126,8 +133,8 @@ def _analytic_locations(params) -> list[float] | None:
     return [p.h_z for p in points]
 
 
-def _ground_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
-    """m_tot label of the ground state at each on-axis field value."""
+def _eigh_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
+    """m_tot label of the ground state from a full eigh at each h_z."""
     rs = np.zeros((hzs.size, 3))
     rs[:, 2] = hzs
     _, states = eigh_many(family.matrices(rs))
@@ -137,8 +144,33 @@ def _ground_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
     return np.rint(m).astype(int)
 
 
+def _ground_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
+    """m_tot label of the ground state at each on-axis field value.
+
+    The label is the lowest of the J_z sector lines.  Where the two lowest
+    lines agree to TIE_RTOL of the on-axis norm the ground level is
+    degenerate to rounding, and the label comes from a full eigh, whose
+    degenerate eigenvector fixes it.
+    """
+    lines = family.sector_lines
+    hzs = np.asarray(hzs, dtype=float)
+    energies = lines.offsets + np.multiply.outer(hzs, lines.slopes)
+    lowest_two = np.partition(energies, 1, axis=-1)
+    tie = lowest_two[:, 1] - lowest_two[:, 0] <= TIE_RTOL * lines.norm_bound(hzs)
+    labels = lines.labels[np.argmin(energies, axis=-1)]
+    if tie.any():
+        labels[tie] = _eigh_labels(family, hzs[tie])
+    return labels
+
+
 def _ground_label(family: HamiltonianFamily, hz: float) -> int:
-    return int(_ground_labels(family, np.asarray([hz]))[0])
+    """_ground_labels at one h_z, in plain floats (one bisection probe)."""
+    lines = family.sector_lines
+    energies = (lines.offsets + lines.slopes * hz).tolist()
+    first, second = sorted(range(len(energies)), key=energies.__getitem__)[:2]
+    if energies[second] - energies[first] <= TIE_RTOL * lines.norm_bound(hz):
+        return int(_eigh_labels(family, np.asarray([hz]))[0])
+    return int(lines.labels[first])
 
 
 def _bisect_flip(family: HamiltonianFamily, lo: float, hi: float, label_lo: int) -> float:
@@ -185,7 +217,9 @@ def scan_weyl_points(
     and assigns the charge from the curvature flux through a small sphere
     centred on the point.  Narrow intermediate phases hiding inside a single
     grid cell are recovered by re-checking the labels next to each refined
-    crossing.
+    crossing.  Labels come from the exact J_z sector lines, with a full eigh
+    breaking ties closer than TIE_RTOL; the flux is a real-arithmetic
+    integral along the phi = 0 meridian.
 
     With identical fields on both sites (h0 = 0) site exchange is an exact
     symmetry: level crossings between opposite-parity states are unavoided

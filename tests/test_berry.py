@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from spin1topo import berry
 from spin1topo.berry import (
+    CURVATURE_CHUNK,
     CurvatureTrace,
     RampProtocol,
     exact_chern_flux,
@@ -64,6 +66,27 @@ class TestExactCurvature:
         fam = single_family(0.0, SignConvention.RAMP)
         with pytest.raises(DegenerateBandError):
             exact_curvature(fam, np.zeros(3), band=0)
+
+
+class TestBatchCurvature:
+    def test_real_chunks_match_complex_single_batch(self, monkeypatch):
+        # the phi = 0 meridian of a small sphere around the Weyl point at h_z = 0.2*hr
+        fam = coupled_family(coupled_params(h0=0.6 * HR, g=0.4 * HR))
+        thetas = np.linspace(0.0, np.pi, CURVATURE_CHUNK + 500)
+        normals = np.stack([np.sin(thetas), 0.0 * thetas, np.cos(thetas)], axis=-1)
+        meridian = np.array([0.0, 0.0, 0.2 * HR]) + 0.1 * HR * normals
+        chunked = berry._batch_curvature(fam, meridian, band=0)
+        monkeypatch.setattr(berry, "CURVATURE_CHUNK", len(thetas))
+        monkeypatch.setattr(berry, "eigh_many", lambda hs: np.linalg.eigh(hs.astype(complex)))
+        reference = berry._batch_curvature(fam, meridian, band=0)
+        assert np.abs(chunked - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_closed_gap_in_a_later_chunk_raises(self):
+        fam = single_family(0.3 * HR)
+        rs = np.tile([0.5 * HR, 0.0, 0.0], (2 * CURVATURE_CHUNK + 10, 1))
+        rs[-5] = [0.0, 0.0, -0.3 * HR]  # H = 0 there
+        with pytest.raises(DegenerateBandError):
+            berry._batch_curvature(fam, rs, band=0)
 
 
 class TestExactChernFlux:

@@ -208,3 +208,37 @@ def test_config_roundtrip(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     assert direct.read_bytes() == replayed.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["single-ramp", "--h0", "nan", "--hr", "10", "--t-ramp", "0.5"], "--h0: must be finite"),
+        (["weyl", "--h0", "inf", "--hr", "10"], "--h0: must be finite"),
+        (["weyl", "--h0", "0", "--hr", "0"], "hr must be positive"),
+        (["coupled-ramp", "--h0", "0", "--hr", "10", "--g=-inf", "--t-ramp", "0.5"], "--g: must be finite"),
+        (["single-ramp", "--h0", "0", "--hr", "10", "--t-ramp", "nan"], "--t-ramp: must be finite"),
+        (["phase-diagram", "--x", "h0", "--y", "h0", "--x-max", "20", "--y-max", "20", "--hr", "10"],
+         "--x and --y must name different parameters"),
+        (["phase-diagram", "--x", "h0", "--y", "g", "--x-max", "20", "--y-max", "20", "--hr", "10", "--steps", "0"],
+         "--steps must be at least 1"),
+    ],
+)
+def test_bad_values_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"command": "weyl", "h0": float("nan"), "hr": 10.0}))
+    with pytest.raises(SystemExit) as err:
+        main(["weyl", "--config", str(config)])
+    assert err.value.code == 2
+    assert "--h0: must be finite" in capsys.readouterr().err
+    # an explicit flag still overrides the stored value
+    code, out, _ = run(capsys, "weyl", "--config", str(config), "--h0", "0", "--family", "single")
+    assert code == 0
+    assert "charge=2" in out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,21 @@ from spin1topo.exceptions import (
     RangeTooNarrowError,
     UnknownParameterError,
 )
-from spin1topo.hamiltonians import CoupledParams, FieldVector, SingleSpinParams
+from spin1topo.hamiltonians import (
+    MHZ_TO_RAD_PER_US,
+    CoupledParams,
+    FieldVector,
+    SignConvention,
+    SingleSpinParams,
+    coupled_family,
+    parity_sector_families,
+    single_family,
+)
 from spin1topo.phases import (
     _chunksize,
+    _eigh_labels,
+    _ground_label,
+    _ground_labels,
     count_regions,
     phase_diagram,
     predict_chern,
@@ -119,6 +132,45 @@ class TestScan:
         assert all(p.charge == 0 for p in crossings)
         expected = sorted(p.h_z for p in weyl_points_g(0.0, 0.5 * HR))
         assert np.allclose([p.h_z for p in crossings], expected, atol=1e-6)
+
+
+class TestSectorLines:
+    @staticmethod
+    def families():
+        for convention in SignConvention:
+            yield single_family(0.4 * HR, convention)
+            yield coupled_family(coupled_params(
+                h0=0.7 * HR, g=0.4 * HR, j_z=0.3 * HR, j_02=0.5 * HR, sign_convention=convention
+            ))
+            heisenberg = coupled_family(coupled_params(g=0.3 * HR, j_z=0.3 * HR, sign_convention=convention))
+            yield heisenberg
+            yield from parity_sector_families(heisenberg)
+            yield from parity_sector_families(coupled_family(coupled_params(
+                g=0.8 * HR, j_02=1.3 * HR, sign_convention=convention
+            )))
+
+    def test_labels_match_full_eigh(self, rng):
+        hzs = np.sort(rng.uniform(-4.0 * HR, 4.0 * HR, 400))
+        for family in self.families():
+            lines = family.sector_lines
+            by_lines = lines.labels[np.argmin(lines.offsets + np.multiply.outer(hzs, lines.slopes), axis=1)]
+            expected = _eigh_labels(family, hzs)
+            assert np.array_equal(by_lines, expected)
+            assert np.array_equal(_ground_labels(family, hzs), expected)
+            assert len(set(expected)) >= 2
+            assert all(_ground_label(family, hz) == e for hz, e in zip(hzs[::40], expected[::40]))
+
+    def test_base_must_be_block_diagonal(self):
+        family = single_family(0.0)
+        with pytest.raises(ValueError, match="block-diagonal"):
+            dataclasses.replace(family, base=family.grad[0]).sector_lines
+
+    def test_exact_tie_takes_the_eigh_label(self):
+        # At h0 = 0 with only j_02 on, the tracked sector's double crossing
+        # sits at h_z = 0, which the bisection probes exactly.
+        params = coupled_params(field=FieldVector(10.0 * MHZ_TO_RAD_PER_US), j_02=2.0 * MHZ_TO_RAD_PER_US)
+        points = scan_weyl_points(params)
+        assert [(p.h_z, p.charge, p.gap_sector) for p in points] == [(-2.9975550038408033e-09, 4, (2, -2))]
 
 
 class TestPredict:
