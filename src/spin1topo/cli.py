@@ -81,16 +81,12 @@ def _finite(text: str) -> float:
     return value
 
 
-def _positive(name: str):
-    """argparse type: a finite number above zero, named in the error message."""
-
-    def parse(text: str) -> float:
-        value = _finite(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text}")
-        return value
-
-    return parse
+def _positive(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,14 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_fields(p: argparse.ArgumentParser, h0_default: float | None = None) -> None:
         p.add_argument("--h0", type=_finite, default=h0_default, help="z offset field, MHz")
-        p.add_argument("--hr", type=_positive("hr"), help="ramped field magnitude, MHz")
+        p.add_argument("--hr", type=_positive, help="ramped field magnitude, MHz")
 
     def add_couplings(p: argparse.ArgumentParser) -> None:
         for flag in ("--g", "--j-z", "--j-02"):
             p.add_argument(flag, type=_finite, default=0.0, help="coupling, MHz")
 
     def add_ramp(p: argparse.ArgumentParser, t_ramp_help: str = "ramp duration, us") -> None:
-        p.add_argument("--t-ramp", type=_positive("t_ramp"), help=t_ramp_help)
+        p.add_argument("--t-ramp", type=_finite, help=t_ramp_help)
         p.add_argument("--samples", type=int, default=1000)
 
     p = sub.add_parser("single-ramp", help="dynamical Chern number of a single qutrit")
@@ -222,21 +218,18 @@ def _run_ramp(cfg: dict, parser_error, coupled_system: bool) -> int:
     return 0
 
 
-def _analytic_weyl(cfg: dict, parser_error) -> list[WeylPoint]:
-    h0 = cfg["h0"] * MHZ_TO_RAD_PER_US
-    if cfg["family"] == "single":
+def _analytic_weyl(params, cfg: dict, parser_error) -> list[WeylPoint]:
+    if isinstance(params, SingleSpinParams):
         if any(cfg[k] for k in ("g", "j_z", "j_02")):
             parser_error("the single family takes no coupling parameters")
-        return [WeylPoint(h_z=-h0, charge=2, gap_sector=(1, -1))]
-    couplings = {k: cfg[k] * MHZ_TO_RAD_PER_US for k in ("g", "j_z", "j_02")}
-    active = [k for k, v in couplings.items() if v != 0.0]
-    if len(active) > 1:
+        return [WeylPoint(h_z=-params.h0, charge=2, gap_sector=(1, -1))]
+    if sum(c != 0.0 for c in (params.g, params.j_z, params.j_02)) > 1:
         parser_error("closed-form Weyl points exist for at most one nonzero coupling")
-    if couplings["j_z"]:
-        return weyl_points_jz(h0, couplings["j_z"])
-    if couplings["j_02"]:
-        return weyl_points_j02(h0, couplings["j_02"])
-    return weyl_points_g(h0, couplings["g"])
+    if params.j_z:
+        return weyl_points_jz(params.h0, params.j_z)
+    if params.j_02:
+        return weyl_points_j02(params.h0, params.j_02)
+    return weyl_points_g(params.h0, params.g)
 
 
 def _dedupe(points: list[WeylPoint], tol: float) -> list[WeylPoint]:
@@ -259,7 +252,7 @@ def _dedupe(points: list[WeylPoint], tol: float) -> list[WeylPoint]:
 def _run_weyl(cfg: dict, parser_error) -> int:
     params = _params(cfg, coupled_system=cfg["family"] == "coupled")
     hr = params.field.magnitude
-    analytic = _dedupe(_analytic_weyl(cfg, parser_error), tol=1e-9 * max(hr, 1.0))
+    analytic = _dedupe(_analytic_weyl(params, cfg, parser_error), tol=1e-9 * max(hr, 1.0))
     scanned = scan_weyl_points(params, keep_uncharged=True)
     scanned = _dedupe(scanned, tol=1e-6)
     status = 0

@@ -42,7 +42,11 @@ ZZ = embed(SZ, 1) @ embed(SZ, 2)
 _S1P_S2M = embed(SPLUS, 1) @ embed(SPLUS.conj().T, 2)
 PAIR_EXCHANGE = np.linalg.matrix_power(_S1P_S2M, 2) + np.linalg.matrix_power(_S1P_S2M.conj().T, 2)
 J_TOTAL_Z = total_sz()
-for _m in (XXYY, ZZ, PAIR_EXCHANGE, J_TOTAL_Z):
+# One-site operators: site 1's S_z and the two-site sums of S_x and S_y.
+SZ_1 = embed(SZ, 1)
+SX_TOTAL = embed(SX, 1) + embed(SX, 2)
+SY_TOTAL = embed(SY, 1) + embed(SY, 2)
+for _m in (XXYY, ZZ, PAIR_EXCHANGE, J_TOTAL_Z, SZ_1, SX_TOTAL, SY_TOTAL):
     _m.setflags(write=False)
 
 
@@ -133,9 +137,7 @@ def single_spin(h0: float, field: FieldVector) -> np.ndarray:
 def coupled_field_matrix(params: CoupledParams, r: np.ndarray) -> np.ndarray:
     """Coupled two-qutrit Hamiltonian with the field replaced by cartesian r."""
     s = _field_sign(params.sign_convention)
-    h = s * (params.h0 * embed(SZ, 1) + r[0] * (embed(SX, 1) + embed(SX, 2))
-             + r[1] * (embed(SY, 1) + embed(SY, 2))
-             + r[2] * (embed(SZ, 1) + embed(SZ, 2)))
+    h = s * (params.h0 * SZ_1 + r[0] * SX_TOTAL + r[1] * SY_TOTAL + r[2] * J_TOTAL_Z)
     if params.g:
         h = h + params.g * XXYY
     if params.j_z:
@@ -319,14 +321,10 @@ def coupled_family(params: CoupledParams) -> HamiltonianFamily:
     base = coupled_field_matrix(params, np.zeros(3))
     return HamiltonianFamily(
         base=base,
-        grad=(
-            s * (embed(SX, 1) + embed(SX, 2)),
-            s * (embed(SY, 1) + embed(SY, 2)),
-            s * (embed(SZ, 1) + embed(SZ, 2)),
-        ),
+        grad=(s * SX_TOTAL, s * SY_TOTAL, s * J_TOTAL_Z),
         jz=J_TOTAL_Z.copy(),
-        sx_total=embed(SX, 1) + embed(SX, 2),
-        sy_total=embed(SY, 1) + embed(SY, 2),
+        sx_total=SX_TOTAL.copy(),
+        sy_total=SY_TOTAL.copy(),
     )
 
 

@@ -2,17 +2,19 @@
 
 On the field z-axis the Hamiltonian conserves the total spin projection, so
 ground-level degeneracies are exact crossings between symmetry sectors.
-Each sector's lowest level is a straight line in h_z (its offset is one
-small eigvalsh, cached per family as HamiltonianFamily.sector_lines), and
-the ground label at any h_z is the lowest line; where two lines tie to
-rounding, a full eigh decides.  Every crossing is characterised by the flux
-of the ground-band curvature through a small enclosing sphere, integrated
-along the phi = 0 meridian, where the Hamiltonian is real and is
-diagonalised in real arithmetic: crossings between adjacent sectors carry
-charge 1, while crossings where the sector label jumps by two (Ising or
-pair-exchange couplings, and the uncoupled limit) are double sources of
-charge 2.  Crossings whose flux rounds to zero contribute no curvature and
-are discarded with a log note.
+The scan labels a coarse h_z grid by full eigh, in real arithmetic since
+the on-axis Hamiltonian is real, and bisects each label change.  Each
+sector's lowest level is a straight line in h_z (its offset is one small
+eigvalsh, cached per family as HamiltonianFamily.sector_lines), so a
+bisection probe takes the lowest line as its label.  Where two lines tie to
+rounding, grid point and probe alike take the label of a full complex eigh.
+Every crossing is characterised by the flux of the ground-band curvature
+through a small enclosing sphere, integrated along the phi = 0 meridian,
+where the Hamiltonian is real and is diagonalised in real arithmetic:
+crossings between adjacent sectors carry charge 1, while crossings where
+the sector label jumps by two (Ising or pair-exchange couplings, and the
+uncoupled limit) are double sources of charge 2.  Crossings whose flux
+rounds to zero contribute no curvature and are discarded with a log note.
 
 The first Chern number measured by a ramp over the sphere |r| = hr equals
 the total charge of the enclosed points, which is what predict_chern counts
@@ -133,11 +135,23 @@ def _analytic_locations(params) -> list[float] | None:
     return [p.h_z for p in points]
 
 
-def _eigh_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
-    """m_tot label of the ground state from a full eigh at each h_z."""
-    rs = np.zeros((hzs.size, 3))
-    rs[:, 2] = hzs
-    _, states = eigh_many(family.matrices(rs))
+def _line_labels(family: HamiltonianFamily, hzs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest J_z sector line at each h_z, and where the two lowest tie.
+
+    Two lines tie when they agree to TIE_RTOL of the on-axis norm.  The
+    ground level is then degenerate to rounding, and its label is whatever
+    the complex eigh's degenerate eigenvector gives.
+    """
+    lines = family.sector_lines
+    energies = lines.offsets + np.multiply.outer(hzs, lines.slopes)
+    lowest_two = np.partition(energies, 1, axis=-1)
+    tie = lowest_two[:, 1] - lowest_two[:, 0] <= TIE_RTOL * lines.norm_bound(hzs)
+    return lines.labels[np.argmin(energies, axis=-1)], tie
+
+
+def _eigh_labels(family: HamiltonianFamily, hs: np.ndarray) -> np.ndarray:
+    """m_tot label of the ground state of each matrix in the stack hs."""
+    _, states = eigh_many(hs)
     ground = states[:, :, 0]
     jz_diag = np.diag(family.jz).real
     m = np.einsum("pi,i,pi->p", ground.conj(), jz_diag, ground).real
@@ -145,32 +159,36 @@ def _eigh_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
 
 
 def _ground_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
-    """m_tot label of the ground state at each on-axis field value.
+    """m_tot label of the ground state from a full eigh at each h_z.
 
-    The label is the lowest of the J_z sector lines.  Where the two lowest
-    lines agree to TIE_RTOL of the on-axis norm the ground level is
-    degenerate to rounding, and the label comes from a full eigh, whose
-    degenerate eigenvector fixes it.
+    The on-axis matrix base + h_z*grad_z is real for every family here and is
+    diagonalised in real arithmetic, except where two sector lines tie:
+    those keep the complex eigh of family.matrices.
     """
-    lines = family.sector_lines
-    hzs = np.asarray(hzs, dtype=float)
-    energies = lines.offsets + np.multiply.outer(hzs, lines.slopes)
-    lowest_two = np.partition(energies, 1, axis=-1)
-    tie = lowest_two[:, 1] - lowest_two[:, 0] <= TIE_RTOL * lines.norm_bound(hzs)
-    labels = lines.labels[np.argmin(energies, axis=-1)]
+    base, grad_z = family.base, family.grad[2]
+    tie = _line_labels(family, hzs)[1] | bool(base.imag.any() or grad_z.imag.any())
+    labels = np.empty(hzs.size, dtype=int)
+    if not tie.all():
+        real = base.real + hzs[~tie, None, None] * grad_z.real
+        labels[~tie] = _eigh_labels(family, real)
     if tie.any():
-        labels[tie] = _eigh_labels(family, hzs[tie])
+        rs = np.zeros((np.count_nonzero(tie), 3))
+        rs[:, 2] = hzs[tie]
+        labels[tie] = _eigh_labels(family, family.matrices(rs))
+    return labels
+
+
+def _sector_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
+    """_ground_labels read off the J_z sector lines, diagonalising only ties."""
+    labels, tie = _line_labels(family, hzs)
+    if tie.any():
+        labels[tie] = _ground_labels(family, hzs[tie])
     return labels
 
 
 def _ground_label(family: HamiltonianFamily, hz: float) -> int:
-    """_ground_labels at one h_z, in plain floats (one bisection probe)."""
-    lines = family.sector_lines
-    energies = (lines.offsets + lines.slopes * hz).tolist()
-    first, second = sorted(range(len(energies)), key=energies.__getitem__)[:2]
-    if energies[second] - energies[first] <= TIE_RTOL * lines.norm_bound(hz):
-        return int(_eigh_labels(family, np.asarray([hz]))[0])
-    return int(lines.labels[first])
+    """_sector_labels at one h_z (one bisection probe)."""
+    return int(_sector_labels(family, np.asarray([hz]))[0])
 
 
 def _bisect_flip(family: HamiltonianFamily, lo: float, hi: float, label_lo: int) -> float:
@@ -217,9 +235,10 @@ def scan_weyl_points(
     and assigns the charge from the curvature flux through a small sphere
     centred on the point.  Narrow intermediate phases hiding inside a single
     grid cell are recovered by re-checking the labels next to each refined
-    crossing.  Labels come from the exact J_z sector lines, with a full eigh
-    breaking ties closer than TIE_RTOL; the flux is a real-arithmetic
-    integral along the phi = 0 meridian.
+    crossing.  Grid labels come from a real full eigh, bisection probes from
+    the exact J_z sector lines; where two lines tie closer than TIE_RTOL a
+    complex full eigh decides.  The flux is a real-arithmetic integral along
+    the phi = 0 meridian.
 
     With identical fields on both sites (h0 = 0) site exchange is an exact
     symmetry: level crossings between opposite-parity states are unavoided

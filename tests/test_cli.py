@@ -215,7 +215,7 @@ def test_config_roundtrip(tmp_path, capsys):
     [
         (["single-ramp", "--h0", "nan", "--hr", "10", "--t-ramp", "0.5"], "--h0: must be finite"),
         (["weyl", "--h0", "inf", "--hr", "10"], "--h0: must be finite"),
-        (["weyl", "--h0", "0", "--hr", "0"], "hr must be positive"),
+        (["weyl", "--h0", "0", "--hr", "0"], "--hr: must be positive"),
         (["coupled-ramp", "--h0", "0", "--hr", "10", "--g=-inf", "--t-ramp", "0.5"], "--g: must be finite"),
         (["single-ramp", "--h0", "0", "--hr", "10", "--t-ramp", "nan"], "--t-ramp: must be finite"),
         (["phase-diagram", "--x", "h0", "--y", "h0", "--x-max", "20", "--y-max", "20", "--hr", "10"],

@@ -25,6 +25,8 @@ from spin1topo.phases import (
     _eigh_labels,
     _ground_label,
     _ground_labels,
+    _line_labels,
+    _sector_labels,
     count_regions,
     phase_diagram,
     predict_chern,
@@ -149,14 +151,19 @@ class TestSectorLines:
                 g=0.8 * HR, j_02=1.3 * HR, sign_convention=convention
             )))
 
+    @staticmethod
+    def complex_eigh_labels(family, hzs):
+        return _eigh_labels(family, family.matrices(np.outer(hzs, [0.0, 0.0, 1.0])))
+
     def test_labels_match_full_eigh(self, rng):
         hzs = np.sort(rng.uniform(-4.0 * HR, 4.0 * HR, 400))
         for family in self.families():
             lines = family.sector_lines
             by_lines = lines.labels[np.argmin(lines.offsets + np.multiply.outer(hzs, lines.slopes), axis=1)]
-            expected = _eigh_labels(family, hzs)
+            expected = self.complex_eigh_labels(family, hzs)
             assert np.array_equal(by_lines, expected)
             assert np.array_equal(_ground_labels(family, hzs), expected)
+            assert np.array_equal(_sector_labels(family, hzs), expected)
             assert len(set(expected)) >= 2
             assert all(_ground_label(family, hz) == e for hz, e in zip(hzs[::40], expected[::40]))
 
@@ -171,6 +178,17 @@ class TestSectorLines:
         params = coupled_params(field=FieldVector(10.0 * MHZ_TO_RAD_PER_US), j_02=2.0 * MHZ_TO_RAD_PER_US)
         points = scan_weyl_points(params)
         assert [(p.h_z, p.charge, p.gap_sector) for p in points] == [(-2.9975550038408033e-09, 4, (2, -2))]
+
+    def test_tie_keeps_the_complex_eigh(self):
+        # On the Heisenberg line at h0 = 0 the m = -1 and m = -2 lines cross
+        # at h_z = -40 MHz exactly; there the real eigh labels -2 and the
+        # complex one, which earlier scans used, labels -1.
+        mhz = MHZ_TO_RAD_PER_US
+        family = coupled_family(coupled_params(g=20.0 * mhz, j_z=20.0 * mhz, j_02=10.0 * mhz))
+        hzs = np.array([-41.0, -40.0, -39.0]) * mhz
+        assert _line_labels(family, hzs)[1].tolist() == [False, True, False]
+        assert _ground_labels(family, hzs).tolist() == [-2, -1, -1]
+        assert _eigh_labels(family, np.ascontiguousarray(family.matrices(np.outer(hzs, [0.0, 0.0, 1.0])).real))[1] == -2
 
 
 class TestPredict:
