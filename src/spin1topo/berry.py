@@ -91,9 +91,7 @@ class CurvatureTrace:
         )
 
 
-def _batch_curvature(
-    family: HamiltonianFamily, rs: np.ndarray, band: int, gap_threshold: float = GAP_THRESHOLD
-) -> np.ndarray:
+def _batch_curvature(family: HamiltonianFamily, rs: np.ndarray, band: int) -> np.ndarray:
     """Sum-over-states curvature vectors at a batch of field points (n, 3).
 
     Points are taken CURVATURE_CHUNK at a time, which bounds the memory of
@@ -102,15 +100,13 @@ def _batch_curvature(
     """
     rs = np.asarray(rs, dtype=float)
     chunks = [
-        _chunk_curvature(family, rs[start : start + CURVATURE_CHUNK], band, gap_threshold)
+        _chunk_curvature(family, rs[start : start + CURVATURE_CHUNK], band)
         for start in range(0, len(rs), CURVATURE_CHUNK)
     ]
     return np.concatenate(chunks)
 
 
-def _chunk_curvature(
-    family: HamiltonianFamily, rs: np.ndarray, band: int, gap_threshold: float
-) -> np.ndarray:
+def _chunk_curvature(family: HamiltonianFamily, rs: np.ndarray, band: int) -> np.ndarray:
     hs = family.matrices(rs)
     if not hs.imag.any():
         hs = np.ascontiguousarray(hs.real)
@@ -118,9 +114,9 @@ def _chunk_curvature(
     e_band = energies[:, band]
     diffs = energies - e_band[:, None]
     diffs[:, band] = np.inf
-    if np.abs(diffs).min() < gap_threshold:
+    if np.abs(diffs).min() < GAP_THRESHOLD:
         raise DegenerateBandError(
-            f"band gap below {gap_threshold:g} rad/us at a requested field point"
+            f"band gap below {GAP_THRESHOLD:g} rad/us at a requested field point"
         )
     # a[c][p, m] = <band| dH/dr_c |m> at point p
     bras = states[:, :, band].conj()

@@ -37,14 +37,7 @@ from .hamiltonians import (
     circuit_spin_equivalent,
     read_config_file,
 )
-from .phases import (
-    WeylPoint,
-    phase_diagram,
-    scan_weyl_points,
-    weyl_points_g,
-    weyl_points_j02,
-    weyl_points_jz,
-)
+from .phases import WeylPoint, closed_form_points, phase_diagram, scan_weyl_points
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -162,7 +155,12 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> dict:
     """
     args = parser.parse_args(argv)
     if args.config:
-        stored = json.loads(Path(args.config).read_text())
+        try:
+            stored = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read --config {args.config}: {exc}")
+        if not isinstance(stored, dict):
+            parser.error(f"--config {args.config} must hold a JSON object")
         explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
         known = set(vars(args)) - explicit - {"command", "config", "dump_config"}
         from_config = [f"--{k.replace('_', '-')}={v}" for k, v in stored.items() if k in known]
@@ -218,20 +216,6 @@ def _run_ramp(cfg: dict, parser_error, coupled_system: bool) -> int:
     return 0
 
 
-def _analytic_weyl(params, cfg: dict, parser_error) -> list[WeylPoint]:
-    if isinstance(params, SingleSpinParams):
-        if any(cfg[k] for k in ("g", "j_z", "j_02")):
-            parser_error("the single family takes no coupling parameters")
-        return [WeylPoint(h_z=-params.h0, charge=2, gap_sector=(1, -1))]
-    if sum(c != 0.0 for c in (params.g, params.j_z, params.j_02)) > 1:
-        parser_error("closed-form Weyl points exist for at most one nonzero coupling")
-    if params.j_z:
-        return weyl_points_jz(params.h0, params.j_z)
-    if params.j_02:
-        return weyl_points_j02(params.h0, params.j_02)
-    return weyl_points_g(params.h0, params.g)
-
-
 def _dedupe(points: list[WeylPoint], tol: float) -> list[WeylPoint]:
     """Merge stacked points, summing charges (the uncoupled limit)."""
     merged: list[WeylPoint] = []
@@ -251,8 +235,13 @@ def _dedupe(points: list[WeylPoint], tol: float) -> list[WeylPoint]:
 
 def _run_weyl(cfg: dict, parser_error) -> int:
     params = _params(cfg, coupled_system=cfg["family"] == "coupled")
+    if isinstance(params, SingleSpinParams) and any(cfg[k] for k in ("g", "j_z", "j_02")):
+        parser_error("the single family takes no coupling parameters")
+    closed = closed_form_points(params)
+    if closed is None:
+        parser_error("closed-form Weyl points exist for at most one nonzero coupling")
     hr = params.field.magnitude
-    analytic = _dedupe(_analytic_weyl(params, cfg, parser_error), tol=1e-9 * max(hr, 1.0))
+    analytic = _dedupe(closed, tol=1e-9 * max(hr, 1.0))
     scanned = scan_weyl_points(params, keep_uncharged=True)
     scanned = _dedupe(scanned, tol=1e-6)
     status = 0
@@ -278,6 +267,8 @@ def _run_phase_diagram(cfg: dict, parser_error) -> int:
         parser_error("--x and --y must name different parameters")
     if cfg["steps"] < 1:
         parser_error(f"--steps must be at least 1, got {cfg['steps']}")
+    if cfg["jobs"] < 1:
+        parser_error(f"--jobs must be at least 1, got {cfg['jobs']}")
     fixed = _params(cfg, coupled_system=True)
     hr = fixed.field.magnitude
     protocol = None
@@ -320,9 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _parse(parser, argv)
     command = cfg["command"]
     dump_path = cfg.pop("dump_config")
-    if dump_path:
-        _dump_config(cfg, command, dump_path)
     try:
+        if dump_path:
+            _dump_config(cfg, command, dump_path)
         if command == "single-ramp":
             _require(cfg, parser.error, "h0", "hr", "t_ramp")
             return _run_ramp(cfg, parser.error, coupled_system=False)
@@ -339,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
             _require(cfg, parser.error, "params")
             return _run_circuit_check(cfg)
         parser.error(f"unknown command {command!r}")
-    except UnknownParameterError as exc:
+    except (UnknownParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except _NUMERICAL_FAILURES as exc:

@@ -16,8 +16,10 @@ The j_02 pair-exchange operator (S1+ S2-)^2 + (S1- S2+)^2 connects
 |down,up> and |up,down> with amplitude 4, so the j_02/4 prefactor makes
 j_02 the actual coupling amplitude between those states.
 
-All frequencies are stored in rad/us; configuration files and the CLI accept
-MHz and convert once (x 2*pi) at the parse boundary.
+All frequencies are stored in rad/us; the CLI and circuit parameter files
+accept MHz and convert once (x 2*pi) at the parse boundary.  Only circuit
+parameter files use the flat `key = value` format read by read_config_file;
+every other configuration is the CLI's JSON.
 """
 
 from __future__ import annotations
@@ -118,38 +120,17 @@ def _field_sign(convention: SignConvention) -> float:
     return -1.0 if convention is SignConvention.RAMP else 1.0
 
 
-def single_field_matrix(
-    h0: float, r: np.ndarray, convention: SignConvention = SignConvention.RAMP
-) -> np.ndarray:
-    """Single spin-1 in a cartesian field r plus a z offset h0."""
-    s = _field_sign(convention)
-    return s * (h0 * SZ + r[0] * SX + r[1] * SY + r[2] * SZ)
-
-
 def single_spin(h0: float, field: FieldVector) -> np.ndarray:
     """Ramp-convention single spin, H = -(h0*Sz + field.S).
 
     At theta = 0 this is diag(-h0-hr, 0, h0+hr).
     """
-    return single_field_matrix(h0, field.cartesian(), SignConvention.RAMP)
-
-
-def coupled_field_matrix(params: CoupledParams, r: np.ndarray) -> np.ndarray:
-    """Coupled two-qutrit Hamiltonian with the field replaced by cartesian r."""
-    s = _field_sign(params.sign_convention)
-    h = s * (params.h0 * SZ_1 + r[0] * SX_TOTAL + r[1] * SY_TOTAL + r[2] * J_TOTAL_Z)
-    if params.g:
-        h = h + params.g * XXYY
-    if params.j_z:
-        h = h + params.j_z * ZZ
-    if params.j_02:
-        h = h + (params.j_02 / 4.0) * PAIR_EXCHANGE
-    return h
+    return single_family(h0).matrix(field.cartesian())
 
 
 def coupled(params: CoupledParams) -> np.ndarray:
     """Coupled two-qutrit Hamiltonian at the parameter record's own field."""
-    return coupled_field_matrix(params, params.field.cartesian())
+    return coupled_family(params).matrix(params.field.cartesian())
 
 
 # Transmon levels {0,1,2} map onto spin states {down, 0, up}; in the
@@ -318,7 +299,13 @@ def single_family(
 
 def coupled_family(params: CoupledParams) -> HamiltonianFamily:
     s = _field_sign(params.sign_convention)
-    base = coupled_field_matrix(params, np.zeros(3))
+    base = s * params.h0 * SZ_1
+    if params.g:
+        base = base + params.g * XXYY
+    if params.j_z:
+        base = base + params.j_z * ZZ
+    if params.j_02:
+        base = base + (params.j_02 / 4.0) * PAIR_EXCHANGE
     return HamiltonianFamily(
         base=base,
         grad=(s * SX_TOTAL, s * SY_TOTAL, s * J_TOTAL_Z),
@@ -376,52 +363,36 @@ def parity_sector_families(family: HamiltonianFamily) -> tuple[HamiltonianFamily
 
 
 _FREQUENCY_KEYS = {
-    "h0", "hr", "g", "j_z", "j_02",
     "delta11", "delta12", "delta21", "delta22",
     "j0101", "j0112", "j1201", "j1212", "j02", "jzz",
 }
 
 
-def read_config_file(path: str | Path) -> dict[str, float | str]:
-    """Parse a flat `key = value` file; frequency keys are MHz -> rad/us."""
-    values: dict[str, float | str] = {}
+def read_config_file(path: str | Path) -> dict[str, float]:
+    """Parse a flat `key = value` circuit file; frequency keys are MHz -> rad/us.
+
+    A line that is not `key = finite number` raises UnknownParameterError.
+    """
+    values: dict[str, float] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise UnknownParameterError(f"malformed line in {path!s}: {raw!r}")
         key, _, text = line.partition("=")
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise UnknownParameterError(f"malformed line in {path!s}: {raw!r} (expected key = finite number)")
         key = key.strip().lower()
-        text = text.strip()
-        if key == "convention":
-            values[key] = text
-            continue
-        value = float(text)
         if key in _FREQUENCY_KEYS:
             value *= MHZ_TO_RAD_PER_US
         values[key] = value
     return values
 
 
-def coupled_params_from_config(values: dict[str, float | str]) -> CoupledParams:
-    convention = SignConvention(str(values.get("convention", "ramp")))
-    field = FieldVector(
-        magnitude=float(values.get("hr", 0.0)),
-        theta=float(values.get("theta", 0.0)),
-        phi=float(values.get("phi", 0.0)),
-    )
-    return CoupledParams(
-        field=field,
-        h0=float(values.get("h0", 0.0)),
-        g=float(values.get("g", 0.0)),
-        j_z=float(values.get("j_z", 0.0)),
-        j_02=float(values.get("j_02", 0.0)),
-        sign_convention=convention,
-    )
-
-
-def circuit_params_from_config(values: dict[str, float | str]) -> CircuitParams:
+def circuit_params_from_config(values: dict[str, float]) -> CircuitParams:
     kwargs = {}
     for name in CircuitParams.__dataclass_fields__:
         if name in values:

@@ -48,10 +48,6 @@ class EigenDecomposition:
     energies: np.ndarray
     states: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[0]
-
 
 def _assert_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
@@ -147,11 +143,6 @@ def single_thread_blas() -> None:
         logger.debug("BLAS thread control not recognised; leaving its thread count alone")
         return
     setter(1)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dim of the result is dim(a)*dim(b)."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def trapezoid_integrate(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -118,21 +118,21 @@ def weyl_points_jz(h0: float, j_z: float) -> list[WeylPoint]:
     ]
 
 
-def _analytic_locations(params) -> list[float] | None:
-    """Closed-form h_z values when the family admits them, else None."""
+def closed_form_points(params) -> list[WeylPoint] | None:
+    """Closed-form Weyl points when the family admits them, else None.
+
+    The single spin has one double point at h_z = -h0; a coupled pair has
+    closed forms while at most one coupling is on.
+    """
     if isinstance(params, SingleSpinParams):
-        return [-params.h0]
-    couplings = [params.g, params.j_z, params.j_02]
-    active = [c for c in couplings if c != 0.0]
-    if len(active) > 1:
+        return [WeylPoint(h_z=-params.h0, charge=2, gap_sector=(1, -1))]
+    if sum(c != 0.0 for c in (params.g, params.j_z, params.j_02)) > 1:
         return None
     if params.j_z != 0.0:
-        points = weyl_points_jz(params.h0, params.j_z)
-    elif params.j_02 != 0.0:
-        points = weyl_points_j02(params.h0, params.j_02)
-    else:
-        points = weyl_points_g(params.h0, params.g)
-    return [p.h_z for p in points]
+        return weyl_points_jz(params.h0, params.j_z)
+    if params.j_02 != 0.0:
+        return weyl_points_j02(params.h0, params.j_02)
+    return weyl_points_g(params.h0, params.g)
 
 
 def _line_labels(family: HamiltonianFamily, hzs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,17 +178,13 @@ def _ground_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _sector_labels(family: HamiltonianFamily, hzs: np.ndarray) -> np.ndarray:
-    """_ground_labels read off the J_z sector lines, diagonalising only ties."""
-    labels, tie = _line_labels(family, hzs)
-    if tie.any():
-        labels[tie] = _ground_labels(family, hzs[tie])
-    return labels
-
-
 def _ground_label(family: HamiltonianFamily, hz: float) -> int:
-    """_sector_labels at one h_z (one bisection probe)."""
-    return int(_sector_labels(family, np.asarray([hz]))[0])
+    """Ground label of one bisection probe: the lowest sector line, or _ground_labels at a tie."""
+    hzs = np.asarray([hz])
+    labels, tie = _line_labels(family, hzs)
+    if tie[0]:
+        return int(_ground_labels(family, hzs)[0])
+    return int(labels[0])
 
 
 def _bisect_flip(family: HamiltonianFamily, lo: float, hi: float, label_lo: int) -> float:
@@ -225,7 +221,6 @@ def _tracked_sector_family(family: HamiltonianFamily, hr: float) -> HamiltonianF
 def scan_weyl_points(
     params,
     h_z_range: tuple[float, float] | None = None,
-    n_grid: int = SCAN_GRID_POINTS,
     keep_uncharged: bool = False,
 ) -> list[WeylPoint]:
     """Locate on-axis ground-gap degeneracies and extract their charges.
@@ -261,9 +256,9 @@ def scan_weyl_points(
         h_z_range = (-reach, reach)
     lo, hi = float(h_z_range[0]), float(h_z_range[1])
 
-    analytic = _analytic_locations(params)
+    analytic = closed_form_points(params)
     if analytic is not None:
-        outside = [hz for hz in analytic if not (lo <= hz <= hi)]
+        outside = [p.h_z for p in analytic if not (lo <= p.h_z <= hi)]
         if outside:
             raise RangeTooNarrowError(
                 f"scan range [{lo:g}, {hi:g}] misses predicted degeneracies at {outside}"
@@ -272,7 +267,7 @@ def scan_weyl_points(
     if isinstance(params, CoupledParams) and params.h0 == 0.0 and not keep_uncharged:
         family = _tracked_sector_family(family, hr)
 
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, SCAN_GRID_POINTS)
     labels = _ground_labels(family, grid)
 
     crossings: list[tuple[float, int, int]] = []  # (h_z, label_above, label_below)
@@ -413,13 +408,9 @@ class PhaseDiagram:
         )
 
 
-def _with_params(fixed: CoupledParams, **updates: float) -> CoupledParams:
-    return dataclasses.replace(fixed, **updates)
-
-
 def _evaluate_cell(task) -> tuple[int, int, int, bool]:
     fixed, x_param, y_param, i, j, x, y, method, protocol = task
-    params = _with_params(fixed, **{x_param: x, y_param: y})
+    params = dataclasses.replace(fixed, **{x_param: x, y_param: y})
     hr = params.field.magnitude
     if method == "dynamical":
         trace = simulate_ramp(params, protocol)
@@ -462,9 +453,9 @@ def phase_diagram(
 
     method "analytic" counts enclosed scanned charges; "dynamical" runs the
     ramp protocol (a RampProtocol is then required).  Cells are independent
-    and are spread evenly over a process pool of jobs workers when jobs > 1,
-    each worker with a single-threaded BLAS; results land by index so the
-    output is deterministic either way.
+    and are spread evenly over a process pool of min(jobs, cells) workers
+    when that exceeds one, each worker with a single-threaded BLAS; results
+    land by index so the output is deterministic either way.
     """
     for name in (x_param, y_param):
         if name not in SWEEPABLE:
@@ -483,9 +474,10 @@ def phase_diagram(
     ]
     chern = np.zeros((x_grid.size, y_grid.size), dtype=int)
     flagged = np.zeros((x_grid.size, y_grid.size), dtype=bool)
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=single_thread_blas) as pool:
-            results = list(pool.map(_evaluate_cell, tasks, chunksize=_chunksize(len(tasks), jobs)))
+    workers = min(jobs or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=single_thread_blas) as pool:
+            results = list(pool.map(_evaluate_cell, tasks, chunksize=_chunksize(len(tasks), workers)))
     else:
         results = [_evaluate_cell(t) for t in tasks]
     for i, j, value, flag in results:

@@ -1,8 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from spin1topo.cli import main
+from spin1topo.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 EQUAL_COUPLING_CONFIG = """\
 # reducible circuit configuration
@@ -222,6 +227,8 @@ def test_config_roundtrip(tmp_path, capsys):
          "--x and --y must name different parameters"),
         (["phase-diagram", "--x", "h0", "--y", "g", "--x-max", "20", "--y-max", "20", "--hr", "10", "--steps", "0"],
          "--steps must be at least 1"),
+        (["phase-diagram", "--x", "h0", "--y", "g", "--x-max", "20", "--y-max", "20", "--hr", "10", "--jobs", "0"],
+         "--jobs must be at least 1"),
     ],
 )
 def test_bad_values_exit_2(capsys, argv, message):
@@ -242,3 +249,50 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
     code, out, _ = run(capsys, "weyl", "--config", str(config), "--h0", "0", "--family", "single")
     assert code == 0
     assert "charge=2" in out
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["circuit-check", "--params", "{tmp}/missing.cfg"], {}, "No such file"),
+        (["circuit-check", "--params", "{tmp}/c.cfg"], {"c.cfg": "j0101 = abc\n"}, "malformed line"),
+        (["circuit-check", "--params", "{tmp}/c.cfg"], {"c.cfg": "j0101 = nan\n"}, "malformed line"),
+        (["weyl", "--config", "{tmp}/missing.json"], {}, "cannot read --config"),
+        (["weyl", "--config", "{tmp}/c.json"], {"c.json": "{not json"}, "cannot read --config"),
+        (["weyl", "--config", "{tmp}/c.json"], {"c.json": "[1, 2]"}, "must hold a JSON object"),
+        (["phase-diagram", "--x", "h0", "--y", "g", "--x-max", "20", "--y-max", "20", "--hr", "10",
+          "--steps", "1", "--jobs", "1", "--out", "{tmp}/missing/x.csv"], {}, "No such file"),
+        (["weyl", "--h0", "0", "--hr", "10", "--dump-config", "{tmp}/missing/run.json"], {}, "No such file"),
+    ],
+)
+def test_bad_input_files_exit_2(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    try:
+        code = main([a.format(tmp=tmp_path) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert sum(line.startswith(("error:", "spin1topo")) for line in err.splitlines()) == 1
+
+
+def _readme_commands() -> list[str]:
+    """Every `spin1topo ...` line of README.md's code blocks, continuations joined."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    lines = (line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line.startswith("spin1topo ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert commands
+    parser = _build_parser()
+    for command in commands:
+        # a shell variable of the README's loops stands for a number
+        argv = [re.sub(r"^\$\w+$", "1", word) for word in shlex.split(command)[1:]]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

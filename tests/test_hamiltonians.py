@@ -16,8 +16,6 @@ from spin1topo.hamiltonians import (
     circuit_spin_equivalent,
     coupled,
     coupled_family,
-    coupled_field_matrix,
-    coupled_params_from_config,
     family_for,
     read_config_file,
     single_family,
@@ -54,7 +52,7 @@ class TestSingleSpin:
 class TestCoupled:
     def test_aligned_matrix_structure(self):
         h0, g = 0.3 * HR, 0.2 * HR
-        h = coupled_field_matrix(coupled_params(h0=h0, g=g), np.array([0.0, 0.0, HR]))
+        h = coupled_family(coupled_params(h0=h0, g=g)).matrix(np.array([0.0, 0.0, HR]))
         diag = [-h0 - 2 * HR, -h0 - HR, -h0, -HR, 0.0, HR, h0, h0 + HR, h0 + 2 * HR]
         assert np.allclose(np.diag(h).real, diag, atol=1e-12)
         off = np.array(h)
@@ -66,7 +64,7 @@ class TestCoupled:
 
     def test_m0_block(self):
         h0, g = 0.4 * HR, 0.25 * HR
-        h = coupled_field_matrix(coupled_params(h0=h0, g=g), np.array([0.0, 0.0, 0.0]))
+        h = coupled_family(coupled_params(h0=h0, g=g)).matrix(np.array([0.0, 0.0, 0.0]))
         idx = [2, 4, 6]  # |up,down>, |0,0>, |down,up>
         block = h[np.ix_(idx, idx)].real
         assert np.allclose(block, [[-h0, g, 0.0], [g, 0.0, g], [0.0, g, h0]], atol=1e-12)
@@ -81,7 +79,7 @@ class TestCoupled:
 
     def test_pair_exchange_amplitude(self):
         j02 = 0.8 * HR
-        h = coupled_field_matrix(coupled_params(j_02=j02), np.zeros(3))
+        h = coupled_family(coupled_params(j_02=j02)).matrix(np.zeros(3))
         # |down,up> (index 6) <-> |up,down> (index 2) with amplitude j02
         assert abs(h[2, 6] - j02) <= 1e-12
         assert abs(h[6, 2] - j02) <= 1e-12
@@ -110,7 +108,7 @@ class TestCoupled:
     def test_axis_commutes_with_total_sz(self):
         jz = total_sz()
         params = coupled_params(h0=0.6 * HR, g=0.4 * HR, j_z=0.3 * HR, j_02=0.5 * HR)
-        h = coupled_field_matrix(params, np.array([0.0, 0.0, 0.7 * HR]))
+        h = coupled_family(params).matrix(np.array([0.0, 0.0, 0.7 * HR]))
         assert np.abs(h @ jz - jz @ h).max() <= 1e-13 * max(1.0, np.abs(h).max())
 
 
@@ -222,19 +220,6 @@ class TestFamilies:
 
 
 class TestConfigFiles:
-    def test_coupled_roundtrip(self, tmp_path):
-        path = tmp_path / "params.cfg"
-        path.write_text(
-            "# coupled run\nh0 = 5\nhr = 10\ng = 2.5\nj_z = 0\nj_02 = 1\ntheta = 0.3\nconvention = ramp\n"
-        )
-        values = read_config_file(path)
-        params = coupled_params_from_config(values)
-        assert abs(params.h0 - 5 * 2 * np.pi) <= 1e-12
-        assert abs(params.field.magnitude - HR) <= 1e-12
-        assert abs(params.g - 2.5 * 2 * np.pi) <= 1e-12
-        assert abs(params.field.theta - 0.3) <= 1e-12
-        assert params.sign_convention is SignConvention.RAMP
-
     def test_circuit_config(self, tmp_path):
         path = tmp_path / "circuit.cfg"
         path.write_text("j0101 = 4\nj0112 = 4\nj1201 = 4\nj1212 = 4\nd11 = 1\nd12 = 2\n")

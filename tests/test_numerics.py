@@ -16,7 +16,6 @@ from spin1topo.exceptions import (
 from spin1topo import numerics
 from spin1topo.numerics import (
     hermitian_eigs,
-    kron,
     propagate_step,
     single_thread_blas,
     trapezoid_integrate,
@@ -141,29 +140,6 @@ class TestPropagateStep:
             state = propagate_step(state, omega * SZ, dt)
         expected = np.exp(-1j * omega * 1.0) * psi
         assert np.abs(state - expected).max() <= 1e-8
-
-
-class TestKron:
-    def test_single_site_eigenvalue(self):
-        vec = np.zeros(9)
-        vec[3 * 1 + 0] = 1.0  # |0> x |up>
-        op = kron(np.eye(3), SZ)
-        assert np.allclose(op @ vec, 1.0 * vec)
-
-    def test_total_z_on_aligned_state(self):
-        vec = np.zeros(9)
-        vec[0] = 1.0  # |up, up>
-        op = kron(SZ, np.eye(3)) + kron(np.eye(3), SZ)
-        assert np.allclose(op @ vec, 2.0 * vec)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_mixed_product_property(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4))
-        left = kron(a, b) @ kron(c, d)
-        right = kron(a @ c, b @ d)
-        assert np.abs(left - right).max() <= 1e-12 * max(1.0, np.abs(right).max())
 
 
 class TestTrapezoid:

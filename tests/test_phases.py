@@ -20,13 +20,13 @@ from spin1topo.hamiltonians import (
     parity_sector_families,
     single_family,
 )
+from spin1topo import phases
 from spin1topo.phases import (
     _chunksize,
     _eigh_labels,
     _ground_label,
     _ground_labels,
     _line_labels,
-    _sector_labels,
     count_regions,
     phase_diagram,
     predict_chern,
@@ -163,7 +163,6 @@ class TestSectorLines:
             expected = self.complex_eigh_labels(family, hzs)
             assert np.array_equal(by_lines, expected)
             assert np.array_equal(_ground_labels(family, hzs), expected)
-            assert np.array_equal(_sector_labels(family, hzs), expected)
             assert len(set(expected)) >= 2
             assert all(_ground_label(family, hz) == e for hz, e in zip(hzs[::40], expected[::40]))
 
@@ -289,6 +288,29 @@ class TestPhaseDiagram:
                 size = _chunksize(cells, jobs)
                 assert size >= 1
                 assert math.ceil(cells / size) >= jobs, (cells, jobs)
+
+    def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(phases, "ProcessPoolExecutor", SerialPool)
+        h0, g = np.array([0.5 * HR]), np.array([0.2, 0.6, 1.4]) * HR
+        serial = phase_diagram("h0", "g", h0, g, coupled_params(), jobs=1)
+        for jobs in (2, 3, 5000):
+            assert phase_diagram("h0", "g", h0, g, coupled_params(), jobs=jobs).to_csv() == serial.to_csv()
+        assert started == [2, 3, 3]
 
 
 def test_count_regions():
